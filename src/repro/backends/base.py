@@ -16,8 +16,10 @@ Two implementations ship today — :class:`repro.backends.dense.DenseBackend`
 pre-backend engine) and :class:`repro.backends.sparse.SparseEventBackend`
 (event-driven gather/scatter kernels that touch only spiking rows/columns).
 Operation accounting is *modelled* (GPU-style dense charging, paper Section
-III) rather than measured, so every backend reports identical
-``OperationCounter`` tallies for the same simulation.
+III) rather than measured: each group and connection is charged a constant
+per step (its ``step_tally()``), which the network's run driver adds once
+per presentation, so every backend reports identical ``OperationCounter``
+tallies for the same simulation.
 
 Conventions shared by every kernel:
 

@@ -13,7 +13,8 @@ Two pieces live here:
     ``(times, channels)`` arrays of step-indexed firings, the
     ``list_firings`` idiom.  Converts losslessly to and from the dense
     ``(timesteps, n)`` boolean trains the rest of the system uses, so both
-    representations drive the same engine.
+    representations drive the same engine; a repeated (time, channel) pair,
+    which no dense train can hold, is rejected.
 
 The analytic advance
     :func:`silence_is_provable` decides whether a gap of input-silent
@@ -54,12 +55,13 @@ either arithmetic).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.snn.neurons import AdaptiveLIFGroup, InputGroup, LIFGroup
+from repro.snn.neurons import AdaptiveLIFGroup, LIFGroup
 
 #: Absolute safety margin (mV) between the no-spike ceiling and the
 #: threshold floor.  Stepped float rounding over a gap is ~1e-10 mV; the
@@ -76,7 +78,9 @@ class EventStream:
     ----------
     times:
         Integer step indices of the events, ``0 <= t < n_steps``.  Sorted
-        on construction (stably, so same-step channel order is kept).
+        on construction (stably, so same-step channel order is kept).  An
+        input fires at most once per step: a repeated (time, channel) pair
+        raises ``ValueError``.
     channels:
         Input-channel index of each event, ``0 <= c < n_channels``.
     n_steps:
@@ -116,6 +120,11 @@ class EventStream:
                     f"event channels must lie in [0, {n_channels}), got "
                     f"[{channels.min()}, {channels.max()}]"
                 )
+            keys = np.sort(times * n_channels + channels)
+            repeated = keys[1:][keys[1:] == keys[:-1]]
+            if repeated.size:
+                raise ValueError("duplicate event (step, channel) = "
+                                 f"{divmod(int(repeated[0]), n_channels)}")
             order = np.argsort(times, kind="stable")
             times = times[order]
             channels = channels[order]
@@ -168,12 +177,13 @@ class EventStream:
         train[self.times, self.channels] = True
         return train
 
-    def step_channels(self) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Events grouped by step: ``(active_steps, channels_per_step)``."""
-        if not self.n_events:
-            return np.zeros(0, dtype=np.int64), []
-        unique_times, starts = np.unique(self.times, return_index=True)
-        return unique_times, np.split(self.channels, starts[1:])
+    def active_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Events grouped by step: ``(active_steps, rows)``, where ``rows[i]``
+        is the boolean input row of step ``active_steps[i]``."""
+        active, slot = np.unique(self.times, return_inverse=True)
+        rows = np.zeros((active.size, self.n_channels), dtype=bool)
+        rows[slot, self.channels] = True
+        return active, rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -199,16 +209,17 @@ def as_event_stream(source, n_channels: Optional[int] = None) -> "EventStream":
 # -- the analytic silent-gap advance ----------------------------------------
 
 
-def _incoming_connections(network) -> dict:
-    """Connections grouped by target-group name (lateral loops included)."""
-    incoming: dict = {name: [] for name, group in network.groups.items()
-                      if not isinstance(group, InputGroup)}
-    for connection in network.connections:
-        incoming[connection.post.name].append(connection)
-    return incoming
+def _plan(network, plan):
+    """``plan``, or a fresh :class:`~repro.snn.network.RunPlan` of ``network``."""
+    if plan is None:
+        from repro.snn.network import RunPlan  # network.py imports this module
+
+        plan = RunPlan(network)
+    return plan
 
 
-def silence_is_provable(network, margin: float = NO_SPIKE_MARGIN) -> bool:
+def silence_is_provable(network, margin: float = NO_SPIKE_MARGIN,
+                        plan=None) -> bool:
     """Whether no neuron can fire in an input-silent gap starting now.
 
     Conservative on three axes: pending spikes or active refractory timers
@@ -216,37 +227,30 @@ def silence_is_provable(network, margin: float = NO_SPIKE_MARGIN) -> bool:
     dynamics are cheap to just step through), inhibitory drive is dropped
     from the membrane ceiling, and the ceiling must clear the threshold
     floor by :data:`NO_SPIKE_MARGIN`.  A ``False`` costs a few stepped
-    timesteps; a ``True`` is a proof.
+    timesteps; a ``True`` is a proof.  ``plan`` is the driver's
+    :class:`~repro.snn.network.RunPlan` (built here when omitted).
     """
-    dt = network.params.dt
-    incoming = _incoming_connections(network)
-    for name, group in network.groups.items():
-        if isinstance(group, InputGroup):
-            continue
-        if group.spikes.any():
+    plan = _plan(network, plan)
+    for group, incoming in zip(plan.groups, plan.incoming):
+        if np.count_nonzero(group.spikes):
             # Last step's spikes still owe a delayed lateral/recurrent
             # delivery on the next step; step it instead of proving it.
             return False
-        if np.any(group.refrac_remaining > 0.0):
+        if group.refrac_remaining.max() > 0.0:
             return False
         ceiling = group.v_rest + np.maximum(group.v - group.v_rest, 0.0)
-        for connection in incoming[name]:
-            if connection.sign <= 0:
-                continue  # inhibition only lowers the ceiling
-            mu = np.exp(-dt / connection.tau_syn)
-            tail = mu / (1.0 - mu)
-            ceiling = ceiling + (
-                dt * connection.gain * tail
-                * np.maximum(connection.conductance, 0.0)
-            )
+        for connection, _, coefficient in incoming:
+            if coefficient is not None:  # inhibition only lowers the ceiling
+                ceiling = ceiling + coefficient * np.maximum(
+                    connection.conductance, 0.0)
         floor = group.v_thresh
         theta = getattr(group, "theta", None)
         if theta is not None:
             # theta >= 0 only raises the threshold; a (hypothetical)
             # negative theta decays toward zero from below, so its initial
             # value is the conservative floor offset.
-            floor = floor + min(float(np.min(theta)), 0.0)
-        if np.max(ceiling) >= floor - margin:
+            floor = floor + min(float(theta.min()), 0.0)
+        if ceiling.max() >= floor - margin:
             return False
     return True
 
@@ -258,7 +262,8 @@ def _geometric_drive(mu: float, lam: float, delta: int) -> float:
     return mu * (mu ** delta - lam ** delta) / (mu - lam)
 
 
-def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None:
+def advance_analytic(network, delta: int, *, decay_traces: bool = False,
+                     plan=None) -> None:
     """Advance all exponential state across ``delta`` provably silent steps.
 
     One closed-form update per state array: membranes get the two-exponential
@@ -270,31 +275,29 @@ def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None
     Callers must have established :func:`silence_is_provable` first; this
     function assumes zero refractory timers and no pending spikes.
     """
-    dt = network.params.dt
-    counter = network.counter
-    incoming = _incoming_connections(network)
-
-    for name, group in network.groups.items():
-        if isinstance(group, InputGroup) or not isinstance(group, LIFGroup):
+    plan = _plan(network, plan)
+    dt = plan.dt
+    tally = Counter(steps_skipped=int(delta))
+    for group, decays, incoming in zip(plan.groups, plan.group_decays,
+                                       plan.incoming):
+        if not isinstance(group, LIFGroup):
             continue
-        lam = np.exp(-dt / group.tau_m)
+        lam = decays[0]
         lam_pow = lam ** delta
         drive = np.zeros(group.state_shape, dtype=float)
-        for connection in incoming[name]:
-            mu = np.exp(-dt / connection.tau_syn)
+        for connection, mu, _ in incoming:
             coefficient = connection.sign * connection.gain
             drive += (coefficient * _geometric_drive(mu, lam, delta)) \
                 * connection.conductance
         group.v = group.v_rest + (group.v - group.v_rest) * lam_pow + dt * drive
-        counter.add(neuron_updates=group.n, exponential_ops=group.n)
         if isinstance(group, AdaptiveLIFGroup) and group.adapt_theta:
-            group.theta = group.theta * np.exp(-dt / group.tau_theta) ** delta
-            counter.add(neuron_updates=group.n, exponential_ops=group.n)
+            group.theta = group.theta * decays[1] ** delta
+        tally.update(group.step_tally())
 
-    for connection in network.connections:
-        mu = np.exp(-dt / connection.tau_syn)
-        connection.conductance = connection.conductance * mu ** delta
-        counter.add(exponential_ops=connection.post.n)
+    for incoming in plan.incoming:
+        for connection, mu, _ in incoming:
+            connection.conductance = connection.conductance * mu ** delta
+            tally["exponential_ops"] += connection.post.n
 
     if decay_traces:
         for connection in network.connections:
@@ -306,6 +309,6 @@ def advance_analytic(network, delta: int, *, decay_traces: bool = False) -> None
                 if trace is None:
                     continue
                 trace.values = trace.values * np.exp(-dt / trace.tau) ** delta
-                counter.add(exponential_ops=trace.n, trace_updates=trace.n)
+                tally.update(exponential_ops=trace.n, trace_updates=trace.n)
 
-    counter.add(steps_skipped=int(delta))
+    network.counter.add(**tally)

@@ -1,4 +1,4 @@
-"""Network orchestration: groups, connections, monitors, and the run loop.
+"""Network orchestration: groups, connections, monitors, and the run driver.
 
 A :class:`Network` owns an input group, any number of downstream neuron
 groups, and the connections between them.  :meth:`Network.run_sample`
@@ -7,10 +7,16 @@ advances the whole network timestep by timestep, drives attached learning
 rules, and returns per-group spike counts.  :meth:`Network.run_batch`
 presents ``B`` samples at once, advancing ``(B, n)``-shaped state in one
 vectorized step per timestep — the hot path for evaluation-heavy workloads.
+:meth:`Network.run_events` takes spike events and jumps provably silent gaps.
 
-The ordering within one timestep is:
+All three feed one driver, which builds a :class:`RunPlan` at the start of
+each run: the non-input groups and their incoming connections, every
+``exp(-dt / tau)`` decay factor, reusable current and input-row buffers, the
+per-step operation tally and the silence bound's constants.  A step then
+allocates nothing of its own, dispatches on no type and builds no dict.  The
+ordering within one timestep is:
 
-1. the input group replays the next row of its spike train;
+1. the input group takes this step's row of the input (silence between events);
 2. every connection converts its presynaptic spikes (input spikes from this
    timestep, recurrent/lateral spikes from the previous timestep) into
    postsynaptic currents;
@@ -19,17 +25,22 @@ The ordering within one timestep is:
 
 All primitive operations are tallied in the network's
 :class:`~repro.snn.simulation.OperationCounter`, which feeds the energy and
-latency models in :mod:`repro.estimation`.
+latency models in :mod:`repro.estimation`.  Groups and connections are
+charged a constant per step (``step_tally()``), so the driver adds their
+tallies once per presentation: constants times steps executed, plus the
+spikes it counts anyway.  Learning rules still account every step.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.backends import BackendLike, get_backend
+from repro.snn import events as snn_events
 from repro.snn.monitors import SpikeMonitor, StateMonitor
 from repro.snn.neurons import InputGroup, NeuronGroup
 from repro.snn.simulation import OperationCounter, SimulationParameters
@@ -58,6 +69,84 @@ class SampleResult:
     def counts(self, group_name: str) -> np.ndarray:
         """Spike counts of ``group_name`` (raises ``KeyError`` if unknown)."""
         return self.spike_counts[group_name]
+
+
+class RunPlan:
+    """What one run of the stepped engine needs, built once at its start.
+
+    Built after the learning rules' ``on_sample_start`` and, for batches,
+    inside batch mode, so every buffer has the run's state shape.  Bound
+    methods are looked up here too, so wrappers installed on the components
+    before the run (e.g. timing probes) are called.
+    """
+
+    def __init__(self, network: "Network") -> None:
+        dt = self.dt = network.params.dt
+        self.counter = network.counter
+        self.input_group = network.input_group
+        self.silent_row = np.zeros(self.input_group.state_shape, dtype=bool)
+        self.groups = [group for group in network.groups.values()
+                       if group is not self.input_group]
+        self.group_decays = [group.decay_factors(dt) for group in self.groups]
+        self.currents = [np.zeros(group.state_shape) for group in self.groups]
+        self.spike_totals = [(np.zeros(group.state_shape, dtype=np.int64), group)
+                             for group in self.groups]
+        slots = {group.name: slot for slot, group in enumerate(self.groups)}
+        # Per target group: (connection, exp(-dt/tau_syn), silence-bound
+        # ceiling coefficient; None for inhibition, which only lowers it).
+        self.incoming: List[list] = [[] for _ in self.groups]
+        self.propagates = []
+        for connection in network.connections:
+            slot = slots[connection.post.name]
+            decays = connection.decay_factors(dt)
+            mu = decays[0]
+            coefficient = (dt * connection.gain * (mu / (1.0 - mu))
+                           if connection.sign > 0 else None)
+            self.incoming[slot].append((connection, mu, coefficient))
+            self.propagates.append((connection.propagate, decays,
+                                    self.currents[slot]))
+        self.integrates = [(group.step, current, decays) for group, current, decays
+                           in zip(self.groups, self.currents, self.group_decays)]
+        self.rules = [(connection.learning_rule.step, connection)
+                      for connection in network.connections
+                      if connection.learning_rule is not None]
+        self.observers = [monitor.observe for monitor in
+                          (*network.spike_monitors, *network.state_monitors)]
+        self.tally: Counter = Counter()
+        for component in (*self.groups, *network.connections):
+            self.tally.update(component.step_tally())
+        self.steps = 0
+
+    def step(self, row: np.ndarray, t_index: int, learn: bool) -> None:
+        """Advance the network one timestep with ``row`` as its input spikes."""
+        self.input_group.spikes = row
+        dt = self.dt
+        for current in self.currents:
+            current.fill(0.0)
+        # Input spikes arrive this step, recurrent/lateral ones a step late.
+        for propagate, decays, current in self.propagates:
+            current += propagate(dt, None, decays)
+        for step, current, decays in self.integrates:
+            step(current, dt, None, decays)
+        if learn:
+            for rule_step, connection in self.rules:
+                rule_step(connection, dt, t_index, self.counter)
+        for observe in self.observers:
+            observe()
+        for total, group in self.spike_totals:
+            total += group.spikes
+        self.steps += 1
+
+    def spike_counts(self) -> Dict[str, np.ndarray]:
+        """Spikes per non-input group over the steps executed so far."""
+        return {group.name: total.copy() for total, group in self.spike_totals}
+
+    def account(self, **extra: int) -> None:
+        """Add the run's group and connection tallies (and ``extra``) in one
+        counter call: per-step constants times steps, plus the spikes."""
+        tally = {key: value * self.steps for key, value in self.tally.items()}
+        spikes = sum(int(total.sum()) for total, _ in self.spike_totals)
+        self.counter.add(spike_events=spikes, **tally, **extra)
 
 
 class Network:
@@ -226,53 +315,6 @@ class Network:
             monitor.reset()
         self.counter.reset()
 
-    def _step(self, dt: float, learning: bool, t_index: int,
-              input_override: Optional[np.ndarray] = None) -> None:
-        """Advance all groups and connections by one timestep.
-
-        ``input_override`` (the event-driven path) injects this timestep's
-        input spikes directly instead of replaying the loaded spike train;
-        everything downstream of stage 1 is identical either way.
-        """
-        counter = self.counter
-
-        # 1. Input group replays the next spike-train row.
-        if self._input_group is not None:
-            if input_override is None:
-                self._input_group.step(
-                    np.zeros(self._input_group.state_shape), dt, counter
-                )
-            else:
-                self._input_group.spikes = input_override
-
-        # 2. Gather currents per target group (one-step delay for recurrence).
-        currents: Dict[str, np.ndarray] = {
-            name: np.zeros(group.state_shape, dtype=float)
-            for name, group in self.groups.items()
-            if not isinstance(group, InputGroup)
-        }
-        for connection in self.connections:
-            current = connection.propagate(dt, counter)
-            currents[connection.post.name] += current
-
-        # 3. Non-input groups integrate and fire.
-        for name, group in self.groups.items():
-            if isinstance(group, InputGroup):
-                continue
-            group.step(currents[name], dt, counter)
-
-        # 4. Plasticity.
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.step(connection, dt, t_index, counter)
-
-        # 5. Monitors.
-        for monitor in self.spike_monitors:
-            monitor.observe()
-        for monitor in self.state_monitors:
-            monitor.observe()
-
     def run_sample(self, spike_train: np.ndarray, *, learning: bool = True,
                    include_rest: bool = False) -> SampleResult:
         """Present one rate-coded sample to the network.
@@ -292,43 +334,9 @@ class Network:
         SampleResult
             Per-group spike counts over the presentation window.
         """
-        dt = self.params.dt
-        input_group = self.input_group
-        input_group.set_spike_train(spike_train)
-
-        spike_counts = {
-            name: np.zeros(group.n, dtype=np.int64)
-            for name, group in self.groups.items()
-        }
-
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.on_sample_start(connection)
-
-        steps = int(np.asarray(spike_train).shape[0])
-        for t_index in range(steps):
-            self._step(dt, learning, t_index)
-            for name, group in self.groups.items():
-                spike_counts[name] += group.spikes
-
-        rest_steps = self.params.rest_steps if include_rest else 0
-        if rest_steps:
-            input_group.clear_spike_train()
-            for t_index in range(steps, steps + rest_steps):
-                self._step(dt, learning=False, t_index=t_index)
-
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.on_sample_end(connection, self.counter)
-
-        self.reset_transient_state()
-        return SampleResult(
-            spike_counts=spike_counts,
-            steps=steps + rest_steps,
-            learning=learning,
-        )
+        train = self.input_group.set_spike_train(spike_train)
+        return self._run(train, range(len(train)), steps=len(train),
+                         learning=learning, include_rest=include_rest)
 
     def run_batch(self, spike_trains: np.ndarray, *, learning: bool = False,
                   include_rest: bool = False) -> List[SampleResult]:
@@ -377,16 +385,13 @@ class Network:
         """
         try:
             trains = np.asarray(spike_trains)
+            if trains.dtype == object:
+                raise ValueError("ragged batch")
         except ValueError as error:
             raise ValueError(
                 "all spike trains in a batch must have the same number of "
                 "timesteps"
             ) from error
-        if trains.dtype == object:
-            raise ValueError(
-                "all spike trains in a batch must have the same number of "
-                "timesteps"
-            )
         if trains.ndim != 3:
             raise ValueError(
                 "spike_trains must have shape (batch_size, timesteps, "
@@ -408,33 +413,21 @@ class Network:
                 for train in trains
             ]
 
-        dt = self.params.dt
         batch_size, steps, _ = trains.shape
         self._begin_batch(batch_size)
         try:
-            input_group.set_spike_train(trains)
-            spike_counts = {
-                name: np.zeros((batch_size, group.n), dtype=np.int64)
-                for name, group in self.groups.items()
-            }
-            for t_index in range(steps):
-                self._step(dt, learning=False, t_index=t_index)
-                for name, group in self.groups.items():
-                    spike_counts[name] += group.spikes
-
-            rest_steps = self.params.rest_steps if include_rest else 0
-            if rest_steps:
-                input_group.clear_spike_train()
-                for t_index in range(steps, steps + rest_steps):
-                    self._step(dt, learning=False, t_index=t_index)
+            trains = input_group.set_spike_train(trains)
+            batched = self._run(np.moveaxis(trains, 1, 0), range(steps),
+                                steps=steps, learning=False,
+                                include_rest=include_rest)
         finally:
             self._end_batch()
 
         return [
             SampleResult(
                 spike_counts={name: counts[index].copy()
-                              for name, counts in spike_counts.items()},
-                steps=steps + rest_steps,
+                              for name, counts in batched.spike_counts.items()},
+                steps=batched.steps,
                 learning=False,
             )
             for index in range(batch_size)
@@ -484,27 +477,19 @@ class Network:
         SampleResult or list of SampleResult
             One result for a single stream/train, a list for a batch.
         """
-        from repro.snn.events import as_event_stream
-
-        if isinstance(events, (list, tuple)):
+        if isinstance(events, (list, tuple)) or (
+                not hasattr(events, "n_events") and np.ndim(events) == 3):
             return [self.run_events(item, learning=learning,
                                     include_rest=include_rest,
                                     allow_jumps=allow_jumps)
                     for item in events]
-        if not hasattr(events, "n_events"):
-            dense = np.asarray(events)
-            if dense.ndim == 3:
-                return [self.run_events(train, learning=learning,
-                                        include_rest=include_rest,
-                                        allow_jumps=allow_jumps)
-                        for train in dense]
         if self.batch_size is not None:
             raise RuntimeError(
                 "run_events requires single-sample mode; end the active "
                 "batch first"
             )
         input_group = self.input_group
-        stream = as_event_stream(events, n_channels=input_group.n)
+        stream = snn_events.as_event_stream(events, n_channels=input_group.n)
 
         jumps = allow_jumps if allow_jumps is not None \
             else self.backend.supports_events
@@ -517,74 +502,64 @@ class Network:
                 if conn.learning_rule is not None
             )
 
-        from repro.snn.events import advance_analytic, silence_is_provable
+        active_times, rows = stream.active_rows()
+        return self._run(rows, active_times.tolist(), steps=stream.n_steps,
+                         learning=learning, include_rest=include_rest,
+                         jumps=jumps, events=stream.n_events)
 
-        dt = self.params.dt
-        steps = stream.n_steps
+    def _run(self, rows: np.ndarray, active_times: Sequence[int], *,
+             steps: int, learning: bool, include_rest: bool,
+             jumps: bool = False, events: int = 0) -> SampleResult:
+        """The run driver behind :meth:`run_sample`, :meth:`run_batch` and
+        :meth:`run_events`.
+
+        ``rows[i]`` is the input of step ``active_times[i]`` (ascending);
+        every other step of the ``steps``-long presentation and of the rest
+        period gets silent input.  With ``jumps``, provably silent gaps are
+        advanced analytically.  ``events`` is the run's ``events_processed``.
+        """
         rest_steps = self.params.rest_steps if include_rest else 0
         total_steps = steps + rest_steps
-
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.on_sample_start(connection)
-
-        spike_counts = {
-            name: np.zeros(group.n, dtype=np.int64)
-            for name, group in self.groups.items()
-        }
-        active_times, channels_per_step = stream.step_channels()
-        silent_row = np.zeros(input_group.n, dtype=bool)
-
-        pointer = 0
-        t_index = 0
+        rules = [connection for connection in self.connections
+                 if learning and connection.learning_rule is not None]
+        for connection in rules:
+            connection.learning_rule.on_sample_start(connection)
+        plan = RunPlan(self)
+        counts = None
+        n_active = len(active_times)
+        pointer = t_index = 0
         while t_index < total_steps:
-            if pointer < active_times.size and active_times[pointer] == t_index:
-                channels = channels_per_step[pointer]
+            learn = learning and t_index < steps
+            if pointer < n_active and active_times[pointer] == t_index:
+                row = rows[pointer]
                 pointer += 1
-                row = np.zeros(input_group.n, dtype=bool)
-                row[channels] = True
-                delivered = int(channels.size)
             else:
-                row = silent_row
-                delivered = 0
-
-            if delivered == 0 and jumps:
-                next_active = int(active_times[pointer]) \
-                    if pointer < active_times.size else total_steps
-                # Plasticity stops at the presentation boundary (the rest
-                # period never updates traces), so jumps do not cross it.
-                if learning and t_index < steps:
-                    next_active = min(next_active, steps)
-                gap = next_active - t_index
-                if gap > 0 and silence_is_provable(self):
-                    advance_analytic(
-                        self, gap,
-                        decay_traces=learning and t_index < steps,
-                    )
-                    t_index = next_active
-                    continue
-
-            learn_now = learning and t_index < steps
-            self._step(dt, learn_now, t_index, input_override=row)
-            if delivered:
-                self.counter.add(events_processed=delivered)
-            if t_index < steps:
-                for name, group in self.groups.items():
-                    spike_counts[name] += group.spikes
+                row = plan.silent_row
+                if jumps:
+                    stop = active_times[pointer] if pointer < n_active \
+                        else total_steps
+                    # Plasticity stops at the presentation boundary (the rest
+                    # period never updates traces), so jumps do not cross it.
+                    if learn:
+                        stop = min(stop, steps)
+                    if snn_events.silence_is_provable(self, plan=plan):
+                        snn_events.advance_analytic(
+                            self, stop - t_index, decay_traces=learn, plan=plan)
+                        t_index = stop
+                        continue
+            if counts is None and t_index >= steps:
+                counts = plan.spike_counts()
+            plan.step(row, t_index, learn)
             t_index += 1
-
-        if learning:
-            for connection in self.connections:
-                if connection.learning_rule is not None:
-                    connection.learning_rule.on_sample_end(connection, self.counter)
-
+        plan.account(events_processed=events)
+        for connection in rules:
+            connection.learning_rule.on_sample_end(connection, self.counter)
+        if counts is None:
+            counts = plan.spike_counts()
+        counts[self.input_group.name] = rows.sum(axis=0, dtype=np.int64)
         self.reset_transient_state()
-        return SampleResult(
-            spike_counts=spike_counts,
-            steps=total_steps,
-            learning=learning,
-        )
+        return SampleResult(spike_counts={name: counts[name] for name in self.groups},
+                            steps=total_steps, learning=learning)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

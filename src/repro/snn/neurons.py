@@ -32,7 +32,7 @@ restored on exit — a batched run never mutates persistent adaptation state.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -131,8 +131,19 @@ class NeuronGroup:
         # data (e.g. a row of the spike train an InputGroup is replaying).
         self.spikes = np.zeros(self.state_shape, dtype=bool)
 
+    def decay_factors(self, dt: float) -> Tuple[float, ...]:
+        """The ``exp(-dt / tau)`` factors :meth:`step` applies (a caller
+        stepping many times passes them back as ``step(..., decays=...)``)."""
+        return ()
+
+    def step_tally(self) -> Dict[str, int]:
+        """Operations one :meth:`step` is charged apart from ``spike_events``;
+        the run driver adds it once per presentation, times the steps."""
+        return {}
+
     def step(self, input_current: np.ndarray, dt: float,
-             counter: Optional[OperationCounter] = None) -> np.ndarray:
+             counter: Optional[OperationCounter] = None,
+             decays: Optional[Tuple[float, ...]] = None) -> np.ndarray:
         """Advance the group by one timestep and return the spike vector."""
         raise NotImplementedError
 
@@ -153,8 +164,8 @@ class InputGroup(NeuronGroup):
         # Input neurons carry no persistent state parameters.
         return 0
 
-    def set_spike_train(self, train: np.ndarray) -> None:
-        """Load a boolean spike train for replay.
+    def set_spike_train(self, train: np.ndarray) -> np.ndarray:
+        """Load a boolean spike train for replay and return the loaded copy.
 
         Expects shape ``(timesteps, n)`` in single-sample mode and
         ``(batch_size, timesteps, n)`` in batch mode.
@@ -173,6 +184,7 @@ class InputGroup(NeuronGroup):
             )
         self._train = train.astype(bool)
         self._cursor = 0
+        return self._train
 
     def clear_spike_train(self) -> None:
         """Remove the loaded spike train (the group then emits no spikes)."""
@@ -203,7 +215,8 @@ class InputGroup(NeuronGroup):
         self.clear_spike_train()
 
     def step(self, input_current: np.ndarray, dt: float,
-             counter: Optional[OperationCounter] = None) -> np.ndarray:
+             counter: Optional[OperationCounter] = None,
+             decays: Optional[Tuple[float, ...]] = None) -> np.ndarray:
         """Emit the next row of the loaded spike train (or silence)."""
         if self._train is None or self.remaining_steps == 0:
             self.spikes = np.zeros(self.state_shape, dtype=bool)
@@ -290,8 +303,16 @@ class LIFGroup(NeuronGroup):
         self.v = np.full(self.n, self.v_rest, dtype=float)
         self.refrac_remaining = np.zeros(self.n, dtype=float)
 
+    def decay_factors(self, dt: float) -> Tuple[float, ...]:
+        return (np.exp(-dt / self.tau_m),)
+
+    def step_tally(self) -> Dict[str, int]:
+        updates = self.n * (self._batch_size or 1)
+        return {"neuron_updates": updates, "exponential_ops": updates}
+
     def step(self, input_current: np.ndarray, dt: float,
-             counter: Optional[OperationCounter] = None) -> np.ndarray:
+             counter: Optional[OperationCounter] = None,
+             decays: Optional[Tuple[float, ...]] = None) -> np.ndarray:
         input_current = np.asarray(input_current, dtype=float)
         if input_current.shape != self.state_shape:
             raise ValueError(
@@ -299,6 +320,7 @@ class LIFGroup(NeuronGroup):
                 f"got {input_current.shape}"
             )
 
+        decays = decays or self.decay_factors(dt)
         # Decay, integrate, fire, reset — executed by the active backend
         # (the decay factor is precomputed so every backend sees the same
         # scalar).
@@ -307,25 +329,18 @@ class LIFGroup(NeuronGroup):
             self.refrac_remaining,
             input_current,
             self.firing_threshold(),
-            decay=np.exp(-dt / self.tau_m),
+            decay=decays[0],
             v_rest=self.v_rest,
             v_reset=self.v_reset,
             refractory=self.refractory,
             dt=dt,
         )
-
+        self._post_spike_update(decays)
         if counter is not None:
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(
-                neuron_updates=self.n * batch,
-                exponential_ops=self.n * batch,
-                spike_events=int(self.spikes.sum()),
-            )
-        self._post_spike_update(dt, counter)
+            counter.add(spike_events=int(self.spikes.sum()), **self.step_tally())
         return self.spikes
 
-    def _post_spike_update(self, dt: float,
-                           counter: Optional[OperationCounter]) -> None:
+    def _post_spike_update(self, decays: Tuple[float, ...]) -> None:
         """Hook for subclasses to update adaptation state after spiking."""
 
 
@@ -391,6 +406,14 @@ class AdaptiveLIFGroup(LIFGroup):
     def firing_threshold(self) -> np.ndarray:
         return self.v_thresh + self.theta
 
+    def decay_factors(self, dt: float) -> Tuple[float, ...]:
+        return super().decay_factors(dt) + (np.exp(-dt / self.tau_theta),)
+
+    def step_tally(self) -> Dict[str, int]:
+        # Theta adaptation is one more decay and update per neuron.
+        factor = 2 if self.adapt_theta else 1
+        return {key: factor * value for key, value in super().step_tally().items()}
+
     def reset_state(self, full: bool = False) -> None:
         super().reset_state(full)
         if full:
@@ -411,17 +434,13 @@ class AdaptiveLIFGroup(LIFGroup):
             self.theta = self._theta_stash
             self._theta_stash = None
 
-    def _post_spike_update(self, dt: float,
-                           counter: Optional[OperationCounter]) -> None:
+    def _post_spike_update(self, decays: Tuple[float, ...]) -> None:
         if not self.adapt_theta:
             return
         # Exponential decay of theta, plus an additive boost on spikes.
         self.theta = self.backend.theta_step(
             self.theta,
             self.spikes,
-            decay=np.exp(-dt / self.tau_theta),
+            decay=decays[1],
             theta_plus=self.theta_plus,
         )
-        if counter is not None:
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(exponential_ops=self.n * batch, neuron_updates=self.n * batch)

@@ -99,11 +99,18 @@ class OperationCounter:
     steps_skipped: int = 0
 
     def add(self, **increments: int) -> None:
-        """Increment one or more counters by the given amounts."""
+        """Increment one or more counters by non-negative integral amounts;
+        a negative or fractional value (``2.9``) raises ``ValueError``."""
         for name, value in increments.items():
-            if not hasattr(self, name):
+            if name not in self.__dataclass_fields__:
                 raise AttributeError(f"OperationCounter has no counter named {name!r}")
-            setattr(self, name, getattr(self, name) + int(value))
+            count = int(value)
+            if count != value or count < 0:
+                raise ValueError(
+                    f"increment of {name!r} must be a non-negative integer, "
+                    f"got {value!r}"
+                )
+            setattr(self, name, getattr(self, name) + count)
 
     def reset(self) -> None:
         """Zero every counter."""
@@ -131,15 +138,11 @@ class OperationCounter:
     def __add__(self, other: "OperationCounter") -> "OperationCounter":
         if not isinstance(other, OperationCounter):
             return NotImplemented
-        merged = {
-            key: self.as_dict()[key] + other.as_dict()[key] for key in self.as_dict()
-        }
-        return OperationCounter(**merged)
+        return OperationCounter(**{key: value + getattr(other, key)
+                                   for key, value in self.as_dict().items()})
 
     def __sub__(self, other: "OperationCounter") -> "OperationCounter":
         if not isinstance(other, OperationCounter):
             return NotImplemented
-        merged = {
-            key: self.as_dict()[key] - other.as_dict()[key] for key in self.as_dict()
-        }
-        return OperationCounter(**merged)
+        return OperationCounter(**{key: value - getattr(other, key)
+                                   for key, value in self.as_dict().items()})

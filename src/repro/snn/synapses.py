@@ -11,7 +11,7 @@ an explicit inhibitory neuron layer.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +21,79 @@ from repro.snn.simulation import OperationCounter
 from repro.utils.validation import check_positive, check_positive_int
 
 
-class Connection:
+class Projection:
+    """A decaying per-postsynaptic conductance driven by presynaptic spikes.
+
+    The state and stepping :class:`Connection` and
+    :class:`UniformLateralInhibition` share: batch lifecycle, reset, the
+    per-step conductance decay, and the signed current delivered to
+    ``post``.  Subclasses add the spike-to-conductance kernel
+    (:meth:`_deliver`) and their per-step tally (:meth:`step_tally`).
+    """
+
+    # -- batch lifecycle ----------------------------------------------------
+
+    @property
+    def batch_size(self) -> Optional[int]:
+        """Active batch size, or ``None`` outside batch mode."""
+        return self._batch_size
+
+    def begin_batch(self, batch_size: int) -> None:
+        """Switch the conductance to a ``(batch_size, post.n)`` buffer."""
+        if self._batch_size is not None:
+            raise RuntimeError(
+                f"connection {self.name!r} is already in batch mode "
+                f"(batch_size={self._batch_size})"
+            )
+        self._batch_size = check_positive_int(batch_size, "batch_size")
+        self.conductance = np.zeros((self._batch_size, self.post.n), dtype=float)
+
+    def end_batch(self) -> None:
+        """Return to a single-sample conductance (no-op outside batch mode)."""
+        if self._batch_size is None:
+            return
+        self._batch_size = None
+        self.conductance = np.zeros(self.post.n, dtype=float)
+
+    def reset_state(self, full: bool = False) -> None:
+        """Clear the conductance (and, with ``full``, learning-rule state)."""
+        self.conductance[:] = 0.0
+        if full and self.learning_rule is not None:
+            reset = getattr(self.learning_rule, "reset", None)
+            if callable(reset):
+                reset()
+
+    # -- simulation ---------------------------------------------------------
+
+    def decay_factors(self, dt: float) -> Tuple[float]:
+        """The conductance decay ``(exp(-dt / tau_syn),)`` of one step."""
+        return (np.exp(-dt / self.tau_syn),)
+
+    def propagate(self, dt: float,
+                  counter: Optional[OperationCounter] = None,
+                  decays: Optional[Tuple[float]] = None) -> np.ndarray:
+        """Advance the conductance one timestep and return the input current
+        delivered to the postsynaptic group (``sign * gain * conductance``).
+
+        In batch mode the presynaptic spikes have shape ``(batch_size, pre.n)``
+        and the returned current ``(batch_size, post.n)``.  Decay and the
+        spike-to-conductance kernel run on the compute backend.  ``decays``
+        are the factors :meth:`decay_factors` returns for ``dt``, passed by a
+        caller that steps many times.
+        """
+        # Rebind per the kernel contract: backends running at a different
+        # state dtype (float32) hand back a converted array here, after
+        # which the conductance stays at the backend's precision.
+        self.conductance = self.backend.decay_state(
+            self.conductance, (decays or self.decay_factors(dt))[0]
+        )
+        self._deliver()
+        if counter is not None:
+            counter.add(**self.step_tally())
+        return self.sign * self.gain * self.conductance
+
+
+class Connection(Projection):
     """Dense synaptic projection from ``pre`` to ``post``.
 
     Parameters
@@ -99,30 +171,6 @@ class Connection:
         self._batch_size: Optional[int] = None
         self._refresh_fanout()
 
-    # -- batch lifecycle ----------------------------------------------------
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Active batch size, or ``None`` outside batch mode."""
-        return self._batch_size
-
-    def begin_batch(self, batch_size: int) -> None:
-        """Switch the conductance to a ``(batch_size, post.n)`` buffer."""
-        if self._batch_size is not None:
-            raise RuntimeError(
-                f"connection {self.name!r} is already in batch mode "
-                f"(batch_size={self._batch_size})"
-            )
-        self._batch_size = check_positive_int(batch_size, "batch_size")
-        self.conductance = np.zeros((self._batch_size, self.post.n), dtype=float)
-
-    def end_batch(self) -> None:
-        """Return to a single-sample conductance (no-op outside batch mode)."""
-        if self._batch_size is None:
-            return
-        self._batch_size = None
-        self.conductance = np.zeros(self.post.n, dtype=float)
-
     # -- bookkeeping --------------------------------------------------------
 
     def _refresh_fanout(self) -> None:
@@ -159,46 +207,25 @@ class Connection:
         """Whether a learning rule is attached to this connection."""
         return self.learning_rule is not None
 
-    def reset_state(self, full: bool = False) -> None:
-        """Clear the conductance (and, with ``full``, learning-rule state)."""
-        self.conductance[:] = 0.0
-        if full and self.learning_rule is not None:
-            reset = getattr(self.learning_rule, "reset", None)
-            if callable(reset):
-                reset()
-
     # -- simulation ---------------------------------------------------------
 
-    def propagate(self, dt: float,
-                  counter: Optional[OperationCounter] = None) -> np.ndarray:
-        """Advance the conductance one timestep and return the input current
-        delivered to the postsynaptic group (signed).
+    def step_tally(self) -> Dict[str, int]:
+        """Operations one :meth:`propagate` is charged.
 
-        In batch mode the presynaptic spikes have shape ``(batch_size, pre.n)``
-        and the returned current ``(batch_size, post.n)``.  Decay and the
-        spike-to-conductance projection run on the connection's compute
-        backend: the dense backend evaluates one vector-matrix product per
-        spiking sample (bit-for-bit identical to the sequential path), while
-        the sparse backend gathers only the spiking weight rows.
+        Dense (GPU-style) accounting: the stored projection is processed once
+        per timestep regardless of how many presynaptic spikes occurred,
+        matching the paper's GPU-based energy measurements.
         """
-        # Rebind per the kernel contract: backends running at a different
-        # state dtype (float32) hand back a converted array here, after
-        # which the conductance stays at the backend's precision.
-        self.conductance = self.backend.decay_state(
-            self.conductance, np.exp(-dt / self.tau_syn)
-        )
+        batch = self._batch_size or 1
+        return {"exponential_ops": self.post.n * batch,
+                "synaptic_events": self._ops_per_step * batch}
+
+    def _deliver(self) -> None:
+        # The dense backend evaluates one vector-matrix product per spiking
+        # sample (bit-for-bit identical to the sequential path); the sparse
+        # backend gathers only the spiking weight rows.
         self.backend.propagate_spikes(self.conductance, self.pre.spikes,
                                       self.weights)
-        if counter is not None:
-            # Dense (GPU-style) accounting: the stored projection is processed
-            # once per timestep regardless of how many presynaptic spikes
-            # occurred, matching the paper's GPU-based energy measurements.
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(
-                exponential_ops=self.post.n * batch,
-                synaptic_events=self._ops_per_step * batch,
-            )
-        return self.sign * self.gain * self.conductance
 
     # -- plasticity helpers -------------------------------------------------
 
@@ -242,7 +269,7 @@ class Connection:
         )
 
 
-class UniformLateralInhibition:
+class UniformLateralInhibition(Projection):
     """Direct lateral inhibition with a single shared strength (SpikeDyn).
 
     This is the paper's Section III-B mechanism: instead of routing
@@ -254,7 +281,7 @@ class UniformLateralInhibition:
     O(n) broadcast per timestep — this is where the memory and energy savings
     of the optimized architecture come from (paper Fig. 4).
 
-    The class implements the same interface as :class:`Connection` so the
+    The class shares :class:`Projection` with :class:`Connection` so the
     :class:`~repro.snn.network.Network` treats it uniformly.
 
     Parameters
@@ -291,30 +318,6 @@ class UniformLateralInhibition:
         self.conductance = np.zeros(group.n, dtype=float)
         self._batch_size: Optional[int] = None
 
-    # -- batch lifecycle ----------------------------------------------------
-
-    @property
-    def batch_size(self) -> Optional[int]:
-        """Active batch size, or ``None`` outside batch mode."""
-        return self._batch_size
-
-    def begin_batch(self, batch_size: int) -> None:
-        """Switch the conductance to a ``(batch_size, n)`` buffer."""
-        if self._batch_size is not None:
-            raise RuntimeError(
-                f"connection {self.name!r} is already in batch mode "
-                f"(batch_size={self._batch_size})"
-            )
-        self._batch_size = check_positive_int(batch_size, "batch_size")
-        self.conductance = np.zeros((self._batch_size, self.post.n), dtype=float)
-
-    def end_batch(self) -> None:
-        """Return to a single-sample conductance (no-op outside batch mode)."""
-        if self._batch_size is None:
-            return
-        self._batch_size = None
-        self.conductance = np.zeros(self.post.n, dtype=float)
-
     @property
     def is_plastic(self) -> bool:
         """Lateral inhibition is never learned."""
@@ -330,24 +333,14 @@ class UniformLateralInhibition:
         """Each spike reaches every other neuron in the group."""
         return float(self.post.n - 1)
 
-    def reset_state(self, full: bool = False) -> None:
-        """Clear the inhibitory conductance."""
-        self.conductance[:] = 0.0
+    def step_tally(self) -> Dict[str, int]:
+        """O(n) broadcast: decay plus a scalar subtraction per neuron."""
+        updates = self.post.n * (self._batch_size or 1)
+        return {"exponential_ops": updates, "synaptic_events": updates}
 
-    def propagate(self, dt: float,
-                  counter: Optional[OperationCounter] = None) -> np.ndarray:
-        """Advance the conductance and return the (negative) lateral current."""
-        self.conductance = self.backend.decay_state(
-            self.conductance, np.exp(-dt / self.tau_syn)
-        )
+    def _deliver(self) -> None:
         self.backend.propagate_lateral(self.conductance, self.pre.spikes,
                                        self.strength)
-        if counter is not None:
-            # O(n) broadcast: decay plus a scalar subtraction per neuron.
-            batch = self._batch_size if self._batch_size is not None else 1
-            counter.add(exponential_ops=self.post.n * batch,
-                        synaptic_events=self.post.n * batch)
-        return -self.gain * self.conductance
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,7 +15,7 @@ from repro.snn.events import (
     silence_is_provable,
 )
 from repro.snn.monitors import SpikeMonitor
-from repro.snn.network import Network
+from repro.snn.network import Network, RunPlan
 from repro.snn.neurons import AdaptiveLIFGroup, InputGroup
 from repro.snn.simulation import SimulationParameters
 from repro.snn.synapses import Connection
@@ -85,13 +85,26 @@ class TestEventStream:
         np.testing.assert_array_equal(stream.times, [0, 1, 5, 5])
         np.testing.assert_array_equal(stream.channels, [3, 1, 2, 0])
 
-    def test_step_channels_groups_by_active_step(self):
+    def test_active_rows_group_events_by_step(self):
         stream = EventStream(times=[0, 0, 7], channels=[1, 2, 0],
                              n_steps=10, n_channels=3)
-        active, per_step = stream.step_channels()
+        active, rows = stream.active_rows()
         np.testing.assert_array_equal(active, [0, 7])
-        np.testing.assert_array_equal(sorted(per_step[0]), [1, 2])
-        np.testing.assert_array_equal(per_step[1], [0])
+        np.testing.assert_array_equal(rows, [[False, True, True],
+                                             [True, False, False]])
+
+    def test_duplicate_events_are_rejected(self):
+        # A dense train holds one bit per (step, channel): a repeat would be
+        # counted twice as processed but delivered once, and lost by to_dense.
+        with pytest.raises(ValueError, match=r"duplicate event .* = \(3, 5\)"):
+            EventStream(times=[3, 3], channels=[5, 5], n_steps=10,
+                        n_channels=8)
+        with pytest.raises(ValueError, match="duplicate"):
+            EventStream(times=[4, 1, 4], channels=[2, 0, 2], n_steps=10,
+                        n_channels=8)
+        stream = EventStream(times=[3, 3], channels=[5, 6], n_steps=10,
+                             n_channels=8)
+        assert EventStream.from_dense(stream.to_dense()).n_events == 2
 
     def test_bounds_are_validated(self):
         with pytest.raises(ValueError, match="times"):
@@ -141,17 +154,18 @@ class TestSilenceBound:
         # Charge both networks identically, then step out the unprovable
         # post-burst span in lockstep before comparing an analytic jump.
         burst = bursty_train(timesteps=6, bursts=1, burst_steps=3, p=0.9)
-        for network in (stepped, jumped):
+        plans = [RunPlan(network) for network in (stepped, jumped)]
+        for plan in plans:
             for t, row in enumerate(burst):
-                network._step(1.0, False, t, input_override=row)
+                plan.step(row, t, learn=False)
         t = len(burst)
         while not silence_is_provable(jumped):
-            for network in (stepped, jumped):
-                network._step(1.0, False, t, input_override=silent_row)
+            for plan in plans:
+                plan.step(silent_row, t, learn=False)
             t += 1
             assert t < 200, "silence never became provable"
         for offset in range(30):
-            stepped._step(1.0, False, t + offset, input_override=silent_row)
+            plans[0].step(silent_row, t + offset, learn=False)
         advance_analytic(jumped, 30)
         exc_s, exc_j = stepped.group("excitatory"), jumped.group("excitatory")
         np.testing.assert_allclose(exc_j.v, exc_s.v, rtol=1e-6, atol=1e-9)

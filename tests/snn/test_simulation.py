@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.snn.simulation import OperationCounter, SimulationParameters
@@ -64,6 +65,23 @@ class TestOperationCounter:
         counter = OperationCounter()
         with pytest.raises(AttributeError):
             counter.add(made_up_counter=1)
+        with pytest.raises(AttributeError):
+            counter.add(reset=1)  # a method, not a counter
+
+    @pytest.mark.parametrize("value", [2.9, 0.5, -1, -2.0, float("nan")])
+    def test_add_rejects_negative_or_fractional_increments(self, value):
+        counter = OperationCounter(weight_updates=7)
+        with pytest.raises(ValueError):
+            counter.add(weight_updates=value)
+        assert counter.weight_updates == 7
+
+    def test_add_accepts_integral_numbers_of_any_type(self):
+        counter = OperationCounter()
+        counter.add(weight_updates=np.int64(3), trace_updates=2.0,
+                    spike_events=True)
+        assert counter.as_dict()["weight_updates"] == 3
+        assert type(counter.trace_updates) is int and counter.trace_updates == 2
+        assert counter.spike_events == 1
 
     def test_total_ops_excludes_spike_events(self):
         counter = OperationCounter(neuron_updates=1, synaptic_events=2,
