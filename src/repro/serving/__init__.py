@@ -12,10 +12,13 @@ multi-tenant service::
   offline reference path serving is provably identical to;
 * :mod:`repro.serving.batcher` — thread-safe micro-batching queue
   (``max_batch`` / ``max_wait_ms`` / backpressure);
-* :mod:`repro.serving.pool` — worker threads each owning an independent
-  model replica (single-core friendly);
-* :mod:`repro.serving.shards` — worker *processes* with crash supervision
-  and respawn (multi-core throughput, fault isolation);
+* :mod:`repro.serving.pool` — the serving pool: request validation,
+  micro-batch dispatch and per-batch ledger bookkeeping over one executor
+  per worker; :class:`ReplicaPool` runs in-thread model replicas
+  (single-core friendly);
+* :mod:`repro.serving.shards` — the process executor behind
+  :class:`ShardProcessPool`: worker *processes* with crash supervision,
+  respawn and one retry (multi-core throughput, fault isolation);
 * :mod:`repro.serving.router` — the multi-tenant control plane: LRU model
   loading from the registry, per-tenant token-bucket rate limiting,
   per-model circuit breaker, bounded retry for transient shard failures;

@@ -116,23 +116,6 @@ class TestPoolContract:
         assert shard_pool.queue_depth >= 0
         assert shard_pool.batcher.max_batch == 4
 
-    def test_submit_validates_before_crossing_the_pipe(self, shard_pool):
-        with pytest.raises(ValueError, match="pixels"):
-            shard_pool.submit(np.zeros(3))
-        with pytest.raises(ValueError, match="non-negative"):
-            shard_pool.submit(np.full(shard_pool.n_input, -1.0))
-
     def test_broken_artifact_fails_fast_in_the_parent(self, tmp_path):
         with pytest.raises(ArtifactError):
             ShardProcessPool(tmp_path / "ghost", shards=1)
-
-    def test_stopped_pool_cannot_restart(self, artifact_dir):
-        pool = ShardProcessPool(artifact_dir, shards=1, max_batch=2)
-        pool.stop(cancel_pending=True)  # never started: close is still legal
-        with pytest.raises(RuntimeError, match="cannot be restarted"):
-            pool.start()
-
-    def test_from_artifact_uses_the_artifact_path(self, artifact):
-        pool = ShardProcessPool.from_artifact(artifact, shards=1)
-        assert pool.artifact_dir == str(artifact.path)
-        assert not pool.running

@@ -26,14 +26,6 @@ class TestNeuronGroupBase:
 
 
 class TestInputGroup:
-    def test_replays_loaded_train(self):
-        group = InputGroup(3)
-        train = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=bool)
-        group.set_spike_train(train)
-        for expected in train:
-            spikes = group.step(np.zeros(3), 1.0)
-            np.testing.assert_array_equal(spikes, expected)
-
     def test_silent_after_train_is_exhausted(self):
         group = InputGroup(2)
         group.set_spike_train(np.ones((1, 2), dtype=bool))
@@ -44,14 +36,6 @@ class TestInputGroup:
         group = InputGroup(2)
         assert not group.step(np.zeros(2), 1.0).any()
 
-    def test_remaining_steps(self):
-        group = InputGroup(2)
-        assert group.remaining_steps == 0
-        group.set_spike_train(np.zeros((5, 2), dtype=bool))
-        assert group.remaining_steps == 5
-        group.step(np.zeros(2), 1.0)
-        assert group.remaining_steps == 4
-
     def test_set_spike_train_validates_shape(self):
         group = InputGroup(3)
         with pytest.raises(ValueError):
@@ -59,36 +43,22 @@ class TestInputGroup:
         with pytest.raises(ValueError):
             group.set_spike_train(np.zeros(3, dtype=bool))
 
-    def test_clear_spike_train(self):
+    def test_set_spike_train_returns_a_boolean_copy(self):
         group = InputGroup(2)
-        group.set_spike_train(np.ones((3, 2), dtype=bool))
-        group.clear_spike_train()
-        assert group.remaining_steps == 0
-        assert not group.step(np.zeros(2), 1.0).any()
+        train = np.array([[1, 0], [0, 2]])
+        loaded = group.set_spike_train(train)
+        assert loaded.dtype == bool
+        np.testing.assert_array_equal(loaded, train.astype(bool))
+        assert not np.shares_memory(loaded, train)
 
-    def test_reset_rewinds_cursor(self):
-        group = InputGroup(2)
-        train = np.array([[1, 1], [0, 0]], dtype=bool)
-        group.set_spike_train(train)
-        group.step(np.zeros(2), 1.0)
-        group.reset_state()
-        np.testing.assert_array_equal(group.step(np.zeros(2), 1.0), train[0])
-
-    def test_full_reset_drops_train(self):
-        group = InputGroup(2)
-        group.set_spike_train(np.ones((3, 2), dtype=bool))
-        group.reset_state(full=True)
-        assert group.remaining_steps == 0
-
-    def test_reset_does_not_corrupt_the_loaded_train(self):
-        """Regression test: resetting must not zero the replayed train row
-        through the spike-vector alias."""
+    def test_reset_does_not_corrupt_the_driven_row(self):
+        """Regression test: resetting must not zero the spike-train row the
+        run driver set through the spike-vector alias."""
         group = InputGroup(2)
         train = np.ones((2, 2), dtype=bool)
-        group.set_spike_train(train)
-        group.step(np.zeros(2), 1.0)
+        group.spikes = train[0]
         group.reset_state()
-        np.testing.assert_array_equal(group.step(np.zeros(2), 1.0), [True, True])
+        np.testing.assert_array_equal(train, np.ones((2, 2), dtype=bool))
 
     def test_no_persistent_parameters(self):
         assert InputGroup(10).parameter_count == 0
